@@ -21,8 +21,10 @@ Quickstart::
     )
     pooled = node.read_tensor(out)   # (32, 256) mean-pooled embeddings
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-paper-vs-measured record of every figure and table.
+``python -m repro list`` enumerates the reproduced figures and tables;
+:mod:`repro.bench.paper_data` holds the paper-reported values they are
+printed against.  PAPER.md has the source paper's abstract and PERF.md the
+simulator's performance notes.
 """
 
 from .config import (

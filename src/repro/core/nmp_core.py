@@ -116,7 +116,9 @@ class VectorAlu:
         an N-way accumulation costs ceil(N/2) cycles of input consumption
         plus one divide cycle per output word.  Note this still leaves
         AVERAGE partly compute-bound at full DRAM bandwidth — a property
-        the paper's GPU-based emulation cannot expose (see EXPERIMENTS.md).
+        the paper's GPU-based emulation cannot expose: in figure 11 the
+        node's AVERAGE stays near 70% of peak at every batch size, where
+        the paper reports ~808 GB/s for all three ops.
         """
         groups = np.asarray(groups, dtype=np.float32)
         if groups.ndim != 3:

@@ -8,14 +8,14 @@ Public surface:
 * :class:`~repro.dram.controller.MemoryController` — one channel, FR-FCFS
 * :class:`~repro.dram.system.DramSystem` — multi-channel system
 * :class:`~repro.dram.storage.WordStorage` — functional 64 B-word store
-* :mod:`~repro.dram.trace` — trace records and generators
+* :mod:`~repro.dram.trace` — columnar trace builders
 * :class:`~repro.dram.cache.Cache` / ``CacheHierarchy`` — CPU-gather ablation
 * :mod:`~repro.dram.memo` — cross-layer timing memoization
   (:data:`~repro.dram.memo.TIMING_MEMO`, :func:`~repro.dram.memo.timing_memo_stats`)
 """
 
 from .cache import Cache, CacheHierarchy, CacheStats
-from .command import Command, Request, TraceBuffer, TraceRequest
+from .command import Command, TraceBuffer, TraceRequest
 from .controller import ControllerConfig, ControllerStats, MemoryController
 from .memo import TIMING_MEMO, TimingMemo, timing_memo_stats
 from .mapping import (
@@ -47,7 +47,6 @@ __all__ = [
     "MemoryController",
     "RANK_INTERLEAVED_ORDER",
     "ROW_INTERLEAVED_ORDER",
-    "Request",
     "SPEED_GRADES",
     "SystemStats",
     "TIMING_MEMO",

@@ -1,7 +1,7 @@
 """DRAM command and request types shared across the simulator."""
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, auto
 
 import numpy as np
@@ -9,8 +9,8 @@ import numpy as np
 
 class _SeqCounter:
     """Global request sequence counter.  FR-FCFS breaks ties by age, so every
-    request entering a controller — through the scalar or the batched path —
-    draws its sequence number from the same monotonic source."""
+    trace entering any controller draws its sequence numbers from the same
+    monotonic source."""
 
     __slots__ = ("value",)
 
@@ -21,19 +21,11 @@ class _SeqCounter:
 _seq_counter = _SeqCounter()
 
 
-def next_seq() -> int:
-    """Draw the next request sequence number (monotonic, process-wide)."""
-    seq = _seq_counter.value
-    _seq_counter.value = seq + 1
-    return seq
-
-
 def reserve_seq_block(n: int) -> int:
     """Reserve ``n`` consecutive sequence numbers; returns the first.
 
-    O(1) regardless of ``n`` — the batched enqueue path labels a whole
-    columnar trace with ``base + arange(n)`` instead of drawing numbers one
-    by one."""
+    O(1) regardless of ``n`` — enqueue labels a whole columnar trace with
+    ``base + arange(n)`` instead of drawing numbers one by one."""
     base = _seq_counter.value
     _seq_counter.value = base + n
     return base
@@ -47,38 +39,6 @@ class Command(Enum):
     RD = auto()
     WR = auto()
     REF = auto()
-
-
-@dataclass
-class Request:
-    """One 64 B read or write transaction presented to a memory controller.
-
-    ``addr`` is the channel-local physical byte address; the controller
-    decodes it into rank / bank-group / bank / row / column coordinates at
-    enqueue time.  ``arrival`` is the cycle the request becomes visible to
-    the scheduler, and ``completion`` is filled in when the data burst
-    finishes on the bus.
-    """
-
-    addr: int
-    is_write: bool
-    arrival: int = 0
-    rank: int = 0
-    bankgroup: int = 0
-    bank: int = 0
-    row: int = 0
-    column: int = 0
-    completion: int = -1
-    seq: int = field(default_factory=next_seq)
-
-    @property
-    def done(self) -> bool:
-        return self.completion >= 0
-
-    @property
-    def latency(self) -> int:
-        """Queueing + service latency in cycles (valid once done)."""
-        return self.completion - self.arrival
 
 
 @dataclass
@@ -139,10 +99,11 @@ class TraceBuffer:
     arrival cycles) so trace generation, address decoding, and enqueueing
     can all run as single numpy operations.
 
-    The buffer is a sequence of :class:`TraceRequest`-shaped records:
-    iterating or indexing yields ``TraceRequest`` objects, so every legacy
-    consumer (``summarize``, scalar ``enqueue`` loops, tests) keeps working
-    unchanged.
+    It is the only trace form the controllers accept
+    (:meth:`~repro.dram.controller.MemoryController.enqueue_batch`,
+    :meth:`~repro.dram.system.DramSystem.enqueue_trace`); record lists
+    convert once through :meth:`from_records`.  Iterating or indexing
+    yields :class:`TraceRequest` records, for inspection in tests.
     """
 
     __slots__ = ("addr", "is_write", "cycle", "_digest")
@@ -212,7 +173,7 @@ class TraceBuffer:
     @classmethod
     def concat(cls, buffers) -> "TraceBuffer":
         """Concatenate several buffers in order."""
-        buffers = [b if isinstance(b, TraceBuffer) else cls.from_records(b) for b in buffers]
+        buffers = list(buffers)
         if not buffers:
             return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=bool))
         return cls(

@@ -27,9 +27,9 @@ Two schedulers implement the same policy:
   (``write_high_watermark > window``) always use this path, because the
   window slice is then observable.
 
-Requests enter either one at a time (:meth:`MemoryController.enqueue`) or as
-a whole columnar trace (:meth:`MemoryController.enqueue_batch`), which
-decodes every address in one vectorized pass.  Pending requests live in a
+Requests enter as whole columnar traces
+(:meth:`MemoryController.enqueue_batch`, :class:`TraceBuffer` only), each
+decoded in one vectorized pass.  Pending requests live in a
 **columnar backlog** (:class:`_Backlog`: array chunks of decoded
 coordinates, arrivals, and sequence numbers); per-request Python objects
 are only materialized when the scheduler admits them into its working
@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import Rank
-from .command import Request, TraceBuffer, reserve_seq_block
+from .command import TraceBuffer, reserve_seq_block
 from .mapping import AddressMapping, DramOrganization
 from .timing import DramTiming
 
@@ -176,11 +176,8 @@ class ControllerConfig:
 class _Entry:
     """A queued request: decoded coordinates plus scheduling bookkeeping.
 
-    ``request`` is the originating :class:`Request` for the scalar enqueue
-    path (coordinates and completion are written back to it); the batched
-    path leaves it ``None`` and carries the fields directly.  ``qpos`` /
-    ``bpos`` are the entry's positions in the working queue and its bank
-    list, maintained so the indexed scheduler can swap-pop in O(1).
+    ``qpos`` / ``bpos`` are the entry's positions in the working queue and
+    its bank list, maintained so the indexed scheduler can swap-pop in O(1).
     """
 
     __slots__ = (
@@ -195,13 +192,12 @@ class _Entry:
         "seq",
         "needed_act",
         "needed_pre",
-        "request",
         "flat",
         "qpos",
         "bpos",
     )
 
-    def __init__(self, addr, is_write, arrival, rank, bankgroup, bank, row, column, seq, request=None):
+    def __init__(self, addr, is_write, arrival, rank, bankgroup, bank, row, column, seq):
         self.addr = addr
         self.is_write = is_write
         self.arrival = arrival
@@ -213,18 +209,15 @@ class _Entry:
         self.seq = seq
         self.needed_act = False
         self.needed_pre = False
-        self.request = request
         self.flat = -1
         self.qpos = -1
         self.bpos = -1
 
 
 class _BacklogChunk:
-    """One enqueue call's worth of pending requests, stored columnar.
+    """One direction's share of an ``enqueue_batch`` call, stored columnar.
 
-    All fields are parallel int64 numpy arrays (plus an optional
-    ``requests`` list carrying :class:`Request` objects from the scalar
-    enqueue path, for completion write-back).  ``start`` is the consumed
+    All fields are parallel int64 numpy arrays.  ``start`` is the consumed
     head offset — records before it have been admitted or streak-issued.
     ``_py`` holds plain-list mirrors, materialized lazily the first time a
     record is popped one at a time (admission), so per-record pops cost
@@ -241,13 +234,12 @@ class _BacklogChunk:
         "column",
         "flat",
         "seq",
-        "requests",
         "start",
         "n",
         "_py",
     )
 
-    def __init__(self, addr, arrival, rank, bankgroup, bank, row, column, flat, seq, requests=None):
+    def __init__(self, addr, arrival, rank, bankgroup, bank, row, column, flat, seq):
         self.addr = addr
         self.arrival = arrival
         self.rank = rank
@@ -257,45 +249,9 @@ class _BacklogChunk:
         self.column = column
         self.flat = flat
         self.seq = seq
-        self.requests = requests
         self.start = 0
         self.n = len(addr)
         self._py = None
-
-    @classmethod
-    def scalar(cls, addr, arrival, rank, bankgroup, bank, row, column, flat, seq, request):
-        """A one-record chunk from the scalar enqueue path.
-
-        Columns start as plain one-element lists (``_py``); the numpy
-        arrays are only built if the streak compiler actually scans this
-        chunk (:meth:`ensure_arrays`), so per-request enqueue stays cheap.
-        """
-        chunk = cls.__new__(cls)
-        chunk.addr = None
-        chunk.arrival = None
-        chunk.rank = None
-        chunk.bankgroup = None
-        chunk.bank = None
-        chunk.row = None
-        chunk.column = None
-        chunk.flat = None
-        chunk.seq = None
-        chunk.requests = [request]
-        chunk.start = 0
-        chunk.n = 1
-        chunk._py = (
-            [addr], [arrival], [rank], [bankgroup], [bank], [row], [column], [flat], [seq]
-        )
-        return chunk
-
-    def ensure_arrays(self) -> None:
-        """Build the numpy columns of a lazily constructed scalar chunk."""
-        if self.addr is None:
-            cols = [np.asarray(c, dtype=np.int64) for c in self._py]
-            (
-                self.addr, self.arrival, self.rank, self.bankgroup,
-                self.bank, self.row, self.column, self.flat, self.seq,
-            ) = cols
 
     def materialize(self):
         if self._py is None:
@@ -352,7 +308,6 @@ class _Backlog:
         entry = _Entry(
             addr[i], self.is_write, arrival[i], rank[i], bankgroup[i], bank[i],
             row[i], column[i], seq[i],
-            request=chunk.requests[i] if chunk.requests is not None else None,
         )
         entry.flat = flat[i]
         chunk.start = i + 1
@@ -498,56 +453,28 @@ class MemoryController:
         self._bus_rank = -1
         self._cmd_free = 0
         self._now = 0
+        self._adopted: TraceBuffer | None = None
 
     # -- public API ----------------------------------------------------------
 
-    def enqueue(self, request: Request) -> None:
-        """Decode and queue one request (arrival time from ``request.arrival``)."""
-        if not 0 <= request.addr < self.organization.capacity_bytes:
-            raise ValueError(
-                f"address {request.addr:#x} outside channel capacity "
-                f"{self.organization.capacity_bytes:#x}"
-            )
-        coords = self.mapping.decode(request.addr)
-        request.rank = coords["rank"]
-        request.bankgroup = coords["bankgroup"]
-        request.bank = coords["bank"]
-        request.row = coords["row"]
-        request.column = coords["column"]
-        org = self.organization
-        flat = (
-            request.rank * org.bankgroups + request.bankgroup
-        ) * org.banks_per_group + request.bank
-        chunk = _BacklogChunk.scalar(
-            request.addr,
-            request.arrival,
-            request.rank,
-            request.bankgroup,
-            request.bank,
-            request.row,
-            request.column,
-            flat,
-            request.seq,
-            request,
-        )
-        backlog = self._write_backlog if request.is_write else self._read_backlog
-        backlog.append_chunk(chunk)
-
-    def enqueue_batch(self, trace, arrival=None) -> None:
+    def enqueue_batch(self, trace: TraceBuffer) -> None:
         """Decode and queue a whole columnar trace in one vectorized pass.
 
-        ``trace`` is a :class:`TraceBuffer` (its ``cycle`` column provides
-        per-request arrival times unless ``arrival`` overrides them).  The
-        records join the same backlogs as scalar :meth:`enqueue` calls, in
-        trace order, with sequence numbers drawn from the shared counter —
-        scheduling is bit-identical to enqueueing the records one by one.
-        The whole call is vectorized: decode, sequence labelling, and the
-        read/write split are array operations; per-record Python objects
-        are only materialized later, at admission time (and never for
-        records the streak compiler retires straight from the backlog).
+        ``trace`` must be a :class:`TraceBuffer` (its ``cycle`` column
+        provides per-request arrival times); record lists convert once
+        through :meth:`TraceBuffer.from_records`.  The records join the backlogs in
+        trace order, one chunk per direction, with sequence numbers drawn
+        from the shared counter.  The whole call is vectorized: decode,
+        sequence labelling, and the read/write split are array operations;
+        per-record Python objects are only materialized later, at admission
+        time (and never for records the streak compiler retires straight
+        from the backlog).
         """
         if not isinstance(trace, TraceBuffer):
-            trace = TraceBuffer.from_records(trace)
+            raise TypeError(
+                f"enqueue_batch takes a TraceBuffer, not {type(trace).__name__}"
+                " (convert records with TraceBuffer.from_records)"
+            )
         n = len(trace)
         if n == 0:
             return
@@ -559,10 +486,7 @@ class MemoryController:
                 f"{self.organization.capacity_bytes:#x}"
             )
         coords = self.mapping.decode_batch(addr)
-        if arrival is None:
-            arrivals = trace.cycle
-        else:
-            arrivals = np.broadcast_to(np.asarray(arrival, dtype=np.int64), (n,))
+        arrivals = trace.cycle
         seqs = reserve_seq_block(n) + np.arange(n, dtype=np.int64)
         org = self.organization
         flats = (
@@ -578,7 +502,7 @@ class MemoryController:
             backlog.append_chunk(
                 _BacklogChunk(
                     addr[mask],
-                    np.ascontiguousarray(arrivals[mask]),
+                    arrivals[mask],
                     coords["rank"][mask],
                     coords["bankgroup"][mask],
                     coords["bank"][mask],
@@ -622,7 +546,6 @@ class MemoryController:
         addr_parts, write_parts, cycle_parts, seq_parts = [], [], [], []
         for backlog in (self._read_backlog, self._write_backlog):
             for chunk in backlog.chunks:
-                chunk.ensure_arrays()
                 sl = slice(chunk.start, chunk.n)
                 addr_parts.append(chunk.addr[sl])
                 cycle_parts.append(chunk.arrival[sl])
@@ -641,18 +564,21 @@ class MemoryController:
             np.concatenate(cycle_parts)[order],
         )
 
-    def adopt_run(self, stats: ControllerStats) -> None:
-        """Adopt the result of an externally replayed drain.
+    def adopt_run(self, stats: ControllerStats, trace: TraceBuffer) -> None:
+        """Adopt ``stats`` as the result of draining ``trace`` (this pristine
+        controller's exported backlog) elsewhere — in a worker process or
+        from the timing memo.
 
-        Used by the parallel engine after a worker process drained this
-        controller's exported trace: leaves the controller in the same
-        observable state as if :meth:`run_to_completion` had returned
-        ``stats`` itself — empty queues, final statistics, clock at the
-        finish cycle.
+        Leaves the controller in the same observable state as if
+        :meth:`run_to_completion` had returned ``stats`` itself: empty
+        queues, final statistics, clock at the finish cycle.  Bank and bus
+        state are not carried over, so a later drain first replays
+        ``trace`` for real to rebuild them (see :meth:`run_to_completion`).
         """
         self.reset()
         self.stats = stats
         self._now = stats.finish_cycle
+        self._adopted = trace
 
     @property
     def pending(self) -> int:
@@ -683,7 +609,19 @@ class MemoryController:
         the window.  Configurations with ``write_high > window`` therefore
         fall back to the scan scheduler so results stay bit-identical to
         the reference in every configuration.
+
+        A controller that adopted a drain (:meth:`adopt_run`) and has new
+        work replays the adopted trace first, so the new work continues
+        from exactly the bank, bus and clock state a local drain would
+        have left.
         """
+        if self._adopted is not None and self.pending:
+            pending = self.export_pending()
+            adopted = self._adopted
+            self.reset()
+            self.enqueue_batch(adopted)
+            self.run_to_completion()
+            self.enqueue_batch(pending)
         if self.scheduler == "indexed" and self.write_high <= self.window:
             return self._run_indexed()
         while self.pending:
@@ -1110,8 +1048,6 @@ class MemoryController:
             bus_free = burst_end
             bus_rank = entry.rank
             bus_cycles += t_burst
-            if entry.request is not None:
-                entry.request.completion = burst_end
             if burst_end > finish:
                 finish = burst_end
             if is_write_q:
@@ -1221,8 +1157,8 @@ class MemoryController:
         schedulable (the caller then issues the one selected command), else
         ``(m, hits, misses, conflicts, latency_delta, last_when,
         last_burst_end)`` after retiring the ``m`` commands: queue, bank
-        lists, backlog, bank/rank timing state, and request completions are
-        all updated; the caller folds the returned deltas into its local
+        lists, backlog, and bank/rank timing state are all updated; the
+        caller folds the returned deltas into its local
         clock/bus/stats state.
         """
         if not is_write_q and write_backlog_pending:
@@ -1247,7 +1183,6 @@ class MemoryController:
             room = STREAK_ABSORB_CAP - absorbed
             if room <= 0:
                 break
-            chunk.ensure_arrays()
             end = min(chunk.n, chunk.start + room)
             sl = slice(chunk.start, end)
             flats_c = chunk.flat[sl]
@@ -1412,28 +1347,10 @@ class MemoryController:
             ep = int(last_per_flat[f]) + gate
             if ep > bank.earliest_pre:
                 bank.earliest_pre = ep
-        # Completion write-back for scalar-enqueued requests.
+        # -- backlog consumption --------------------------------------------
         n_from_q = q_n if m >= q_n else m
-        tail = data_offset + t_burst
-        for i in range(n_from_q):
-            req = entries[i].request
-            if req is not None:
-                req.completion = int(when[i]) + tail
         n_from_backlog = m - n_from_q
         if n_from_backlog:
-            offset = n_from_q
-            remaining = n_from_backlog
-            for chunk in backlog.chunks:
-                take = min(remaining, chunk.n - chunk.start)
-                if chunk.requests is not None:
-                    for j in range(take):
-                        req = chunk.requests[chunk.start + j]
-                        if req is not None:
-                            req.completion = int(when[offset + j]) + tail
-                offset += take
-                remaining -= take
-                if not remaining:
-                    break
             backlog.consume(n_from_backlog)
         # -- queue / bank-list maintenance ----------------------------------
         if n_from_q == q_n:
@@ -1512,8 +1429,6 @@ class MemoryController:
         self._bus_free = burst_end
         self._bus_rank = entry.rank
         self.stats.data_bus_cycles += self._t_burst
-        if entry.request is not None:
-            entry.request.completion = burst_end
         if burst_end > self.stats.finish_cycle:
             self.stats.finish_cycle = burst_end
         if entry.is_write:

@@ -42,9 +42,10 @@ Two soundness boundaries, enforced at the consumer sites:
   participation (lookup *and* store) on ``MemoryController.pristine``;
   the TensorDimm and worker-replay paths always reset first.
 * **adopt semantics** — a hit is adopted via ``adopt_run``: observable
-  stats and clock match a real drain exactly, but bank-state warmth
-  (open rows) is not carried over — the same contract the parallel
-  engine's worker replays have always had.
+  stats and clock match a real drain exactly; bank-state warmth (open
+  rows) is rebuilt by replaying the adopted trace only if the controller
+  later drains more work — the same contract as the parallel engine's
+  worker replays.
 
 ``REPRO_TIMING_CACHE=0`` disables the trace-level cache and
 ``REPRO_INSTR_MEMO=0`` the instruction-level one, each process-wide (the

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .command import Request, TraceBuffer, TraceRequest
+from .command import TraceBuffer
 from .controller import ControllerStats, MemoryController
 from .mapping import AddressMapping, DramOrganization
 from .memo import TIMING_MEMO
@@ -82,11 +82,6 @@ class DramSystem:
                     window=window,
                 )
             )
-        # Columnar mirror of each channel's backlog, appended in enqueue
-        # order.  The parallel run ships these buffers to the workers
-        # directly instead of re-walking the controllers' entry objects;
-        # kept consistent by enqueue/enqueue_trace and cleared by run().
-        self._pending_traces: list[list[TraceBuffer]] = [[] for _ in range(channels)]
 
     @property
     def peak_bandwidth(self) -> float:
@@ -103,29 +98,20 @@ class DramSystem:
         local = (block // self.num_channels) * 64 + (addr % 64)
         return channel, local
 
-    def enqueue(self, addr: int, is_write: bool, cycle: int = 0) -> None:
-        """Queue a 64 B transaction at system address ``addr``."""
-        channel, local = self.route(addr)
-        self.controllers[channel].enqueue(
-            Request(addr=local, is_write=is_write, arrival=cycle)
-        )
-        self._pending_traces[channel].append(
-            TraceBuffer(np.array([local]), np.array([is_write]), np.array([cycle]))
-        )
+    def enqueue_trace(self, trace: TraceBuffer) -> None:
+        """Queue a :class:`TraceBuffer` of system addresses.
 
-    def enqueue_trace(self, trace) -> None:
-        """Queue a trace: a :class:`TraceBuffer` (fast, columnar) or any
-        iterable of :class:`TraceRequest` records.
-
-        The columnar path routes every record with vectorized arithmetic and
-        hands each channel its requests as one batch; per-channel request
-        order matches the scalar path, so the resulting statistics are
-        bit-identical.
+        Every record is routed with vectorized arithmetic (see
+        :meth:`route`) and each channel receives its share, in trace order,
+        as one :meth:`MemoryController.enqueue_batch` call.  Record lists
+        convert once through :meth:`TraceBuffer.from_records`; anything
+        else raises :class:`TypeError`.
         """
         if not isinstance(trace, TraceBuffer):
-            for record in trace:
-                self.enqueue(record.addr, record.is_write, record.cycle)
-            return
+            raise TypeError(
+                f"enqueue_trace takes a TraceBuffer, not {type(trace).__name__}"
+                " (convert records with TraceBuffer.from_records)"
+            )
         # route(): channel = block % C, local = (block // C) * 64 + offset
         block, offset = np.divmod(trace.addr, 64)
         local_block, channel_ids = np.divmod(block, self.num_channels)
@@ -134,9 +120,9 @@ class DramSystem:
             mask = channel_ids == channel
             if not mask.any():
                 continue
-            share = TraceBuffer(local[mask], trace.is_write[mask], trace.cycle[mask])
-            self.controllers[channel].enqueue_batch(share)
-            self._pending_traces[channel].append(share)
+            self.controllers[channel].enqueue_batch(
+                TraceBuffer(local[mask], trace.is_write[mask], trace.cycle[mask])
+            )
 
     def run(self, jobs: int | None = None) -> SystemStats:
         """Drain every channel and aggregate the results.
@@ -153,12 +139,14 @@ class DramSystem:
         (tiny traces fall back to the in-process path automatically).
 
         Per-channel drains are memoized through the process-wide timing
-        cache (:mod:`repro.dram.memo`): a channel whose pending backlog is
-        byte-identical to a previously drained one adopts the cached stats
-        without simulating.  The memo only applies when the system's
-        columnar backlog mirror matches the controller (i.e. every request
-        entered through :meth:`enqueue` / :meth:`enqueue_trace`); a
-        directly fed controller always drains for real.
+        cache (:mod:`repro.dram.memo`): a pristine channel whose pending
+        backlog is byte-identical to a previously drained one adopts the
+        cached stats without simulating.
+
+        Both the fan-out and the memo replay a channel's backlog on a fresh
+        controller, so both apply only to pristine controllers.  A system
+        that has already run continues from each channel's accumulated
+        clock and statistics, so it drains sequentially and for real.
         """
         from ..parallel import min_task_records, resolve_jobs
 
@@ -167,57 +155,35 @@ class DramSystem:
         if (
             jobs > 1
             and self.num_channels > 1
+            and all(c.pristine for c in self.controllers)
             and any(c.pending >= threshold for c in self.controllers)
         ):
             return self._run_parallel(jobs)
         stats: list[ControllerStats] = []
         total_bytes = 0
         elapsed = 0.0
-        for channel, controller in enumerate(self.controllers):
-            s = None
-            mirror_ok = (
-                sum(len(b) for b in self._pending_traces[channel])
-                == controller.pending
-            )
-            # A warm controller (this system already ran once) continues
-            # from its accumulated clock/stats state, so its drain is not
-            # a pure function of the pending trace — memo only applies to
-            # pristine controllers.
-            if mirror_ok and controller.pending and controller.pristine:
-                trace = self._channel_trace(channel)
+        for controller in self.controllers:
+            if controller.pending and controller.pristine:
+                trace = controller.export_pending()
                 config = controller.snapshot_config()
                 s = TIMING_MEMO.lookup(config, trace)
                 if s is not None:
-                    controller.adopt_run(s)
+                    controller.adopt_run(s, trace)
                 else:
                     s = controller.run_to_completion()
                     TIMING_MEMO.store(config, trace, s)
-            if s is None:
+            else:
                 s = controller.run_to_completion()
             stats.append(s)
             total_bytes += s.total_bytes
             elapsed = max(elapsed, controller.elapsed_seconds())
-        self._pending_traces = [[] for _ in range(self.num_channels)]
         return SystemStats(total_bytes=total_bytes, elapsed_seconds=elapsed, channel_stats=stats)
-
-    def _channel_trace(self, channel: int) -> TraceBuffer:
-        """This channel's backlog as one columnar trace, in enqueue order.
-
-        The cheap path concatenates the buffers the enqueue methods already
-        demuxed; if the mirror disagrees with the controller (someone fed
-        the controller directly), fall back to exporting its backlog.
-        """
-        controller = self.controllers[channel]
-        buffers = self._pending_traces[channel]
-        if sum(len(b) for b in buffers) == controller.pending:
-            return buffers[0] if len(buffers) == 1 else TraceBuffer.concat(buffers)
-        return controller.export_pending()
 
     def _run_parallel(self, jobs: int) -> SystemStats:
         """Fan the per-channel drains out across worker processes."""
         from ..parallel import replay_traces
 
-        traces = [self._channel_trace(c) for c in range(self.num_channels)]
+        traces = [controller.export_pending() for controller in self.controllers]
         tasks = [
             (controller.snapshot_config(), trace)
             for controller, trace in zip(self.controllers, traces)
@@ -234,8 +200,7 @@ class DramSystem:
                 f"channel drained {s.accesses} requests but was shipped "
                 f"{len(trace)} — independent-channel invariant violated"
             )
-            controller.adopt_run(s)
+            controller.adopt_run(s, trace)
             total_bytes += s.total_bytes
             elapsed = max(elapsed, controller.elapsed_seconds())
-        self._pending_traces = [[] for _ in range(self.num_channels)]
         return SystemStats(total_bytes=total_bytes, elapsed_seconds=elapsed, channel_stats=stats)

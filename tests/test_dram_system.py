@@ -1,10 +1,12 @@
 """Tests for the multi-channel DRAM system."""
 
+import numpy as np
 import pytest
 
+from repro.dram.command import TraceBuffer, TraceRequest
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_trace
+from repro.dram.trace import reduce_buffer, streaming_buffer
 
 
 class TestRouting:
@@ -34,6 +36,29 @@ class TestRouting:
             DramSystem(channels=0)
 
 
+class TestEnqueueTrace:
+    def test_one_backlog_chunk_per_direction(self):
+        system = DramSystem(channels=4)
+        system.enqueue_trace(reduce_buffer(0, 1 << 20, 1 << 21, 3000))
+        for controller in system.controllers:
+            assert controller.pending == 9000 // 4
+            assert len(controller._read_backlog.chunks) <= 1
+            assert len(controller._write_backlog.chunks) <= 1
+
+    @pytest.mark.parametrize("form", ["generator", "records"])
+    def test_rejects_non_buffer_traces(self, form):
+        records = [TraceRequest(0, i * 64, False) for i in range(8)]
+        trace = iter(records) if form == "generator" else records
+        system = DramSystem(channels=2)
+        with pytest.raises(TypeError):
+            system.enqueue_trace(trace)
+        with pytest.raises(TypeError):
+            system.controllers[0].enqueue_batch(trace)
+        assert all(c.pending == 0 for c in system.controllers)
+        system.enqueue_trace(TraceBuffer.from_records(records))
+        assert [c.pending for c in system.controllers] == [4, 4]
+
+
 class TestAggregates:
     def test_peak_bandwidth_scales_with_channels(self):
         assert DramSystem(channels=8).peak_bandwidth == pytest.approx(
@@ -46,7 +71,7 @@ class TestAggregates:
 
     def test_streaming_uses_all_channels(self):
         system = DramSystem(channels=4, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, 8000))
+        system.enqueue_trace(streaming_buffer(0, 8000))
         stats = system.run()
         for channel in stats.channel_stats:
             assert channel.accesses == 2000
@@ -55,13 +80,13 @@ class TestAggregates:
         results = {}
         for channels in (1, 4):
             system = DramSystem(channels=channels, refresh_enabled=False)
-            system.enqueue_trace(streaming_trace(0, channels * 4000))
+            system.enqueue_trace(streaming_buffer(0, channels * 4000))
             results[channels] = system.run().bandwidth
         assert results[4] > 3.5 * results[1]
 
     def test_total_bytes_aggregated(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_trace(0, 100))
+        system.enqueue_trace(streaming_buffer(0, 100))
         stats = system.run()
         assert stats.total_bytes == 6400
 
@@ -73,12 +98,12 @@ class TestAggregates:
 
     def test_row_hit_rate_reported(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_trace(0, 2000))
+        system.enqueue_trace(streaming_buffer(0, 2000))
         stats = system.run()
         assert stats.row_hit_rate > 0.9
 
     def test_mean_read_latency_positive(self):
         system = DramSystem(channels=2)
-        system.enqueue_trace(streaming_trace(0, 200))
+        system.enqueue_trace(streaming_buffer(0, 200))
         stats = system.run()
         assert stats.mean_read_latency_cycles > 0

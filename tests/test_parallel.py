@@ -16,7 +16,7 @@ from repro.core.tensornode import TensorNode
 from repro.dram.controller import MemoryController
 from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import streaming_buffer, streaming_trace
+from repro.dram.trace import streaming_buffer
 from repro.models.model_zoo import YOUTUBE
 from repro.service import ServicePolicy, compare_designs
 from repro.service.simulator import _GrowArray
@@ -85,7 +85,7 @@ class TestReplayTraces:
 class TestDramSystemParallel:
     def _run(self, jobs, channels=4, words=6000):
         system = DramSystem(channels=channels, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, words))
+        system.enqueue_trace(streaming_buffer(0, words))
         return system.run(jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [2, 4])
@@ -103,9 +103,26 @@ class TestDramSystemParallel:
         result = self._run(4, words=200)
         assert result.channel_stats == reference.channel_stats
 
+    def test_second_run_matches_sequential(self, force_pool):
+        # A system that already ran continues from each channel's clock and
+        # counts; the fan-out must not replay the backlog on a fresh
+        # controller and drop them.
+        def enqueue_run_twice(jobs):
+            system = DramSystem(channels=2)
+            for _ in range(2):
+                system.enqueue_trace(streaming_buffer(0, 5000))
+                result = system.run(jobs=jobs)
+            return result
+
+        reference = enqueue_run_twice(1)
+        result = enqueue_run_twice(2)
+        assert [s.reads for s in reference.channel_stats] == [5000, 5000]
+        assert result.channel_stats == reference.channel_stats
+        assert result.elapsed_seconds == reference.elapsed_seconds
+
     def test_controllers_drained_after_parallel_run(self, force_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, 2000))
+        system.enqueue_trace(streaming_buffer(0, 2000))
         stats = system.run(jobs=2)
         for controller, channel in zip(system.controllers, stats.channel_stats):
             assert controller.pending == 0
@@ -214,7 +231,7 @@ class TestExplicitSequentialWins:
 
     def test_dram_system(self, no_pool):
         system = DramSystem(channels=2, refresh_enabled=False)
-        system.enqueue_trace(streaming_trace(0, 400))
+        system.enqueue_trace(streaming_buffer(0, 400))
         assert system.run(jobs=1).total_bytes == 400 * 64
 
     def test_broadcast_timed_batch(self, no_pool):

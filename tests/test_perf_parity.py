@@ -1,8 +1,8 @@
 """Golden parity tests for the vectorized trace engine and scheduler.
 
-The perf overhaul (columnar ``TraceBuffer`` traces, ``decode_batch`` +
-``enqueue_batch`` fast paths, the indexed FR-FCFS scheduler, and controller
-reuse via ``reset()``) must be *bit-identical* to the original scalar paths:
+The fast paths (the indexed FR-FCFS scheduler, its streak compiler, and
+controller reuse via ``reset()``) must be *bit-identical* to the original
+``scheduler="scan"`` reference, and ``decode_batch`` to scalar ``decode``:
 every :class:`ControllerStats` field — reads, writes, row hits/misses/
 conflicts, activates, precharges, refreshes, data-bus cycles, finish cycle,
 read-latency sum — has to match, command for command.  These tests pin that
@@ -16,7 +16,7 @@ import pytest
 from repro.core.isa import average, gather, reduce, update
 from repro.core.nmp_core import NmpCore
 from repro.core.tensordimm import TensorDimm
-from repro.dram.command import Request, TraceBuffer, TraceRequest
+from repro.dram.command import TraceBuffer, TraceRequest
 from repro.dram.controller import MemoryController
 from repro.dram.mapping import (
     BANK_INTERLEAVED_ORDER,
@@ -26,20 +26,7 @@ from repro.dram.mapping import (
     DramOrganization,
 )
 from repro.dram.storage import WordStorage
-from repro.dram.system import DramSystem
 from repro.dram.timing import DDR4_3200
-from repro.dram.trace import (
-    average_buffer,
-    average_trace,
-    gather_buffer,
-    gather_trace,
-    reduce_buffer,
-    reduce_trace,
-    streaming_buffer,
-    streaming_trace,
-    strided_buffer,
-    strided_trace,
-)
 
 
 def seeded_core(seed=7, node_dim=2, capacity=1 << 16):
@@ -59,29 +46,32 @@ OPCODE_CASES = {
 }
 
 
-def run_scalar_scan(trace, **kw):
-    """Reference path: per-record enqueue + the original scan scheduler."""
+def _as_buffer(trace):
+    return trace if isinstance(trace, TraceBuffer) else TraceBuffer.from_records(trace)
+
+
+def run_scan(trace, **kw):
+    """Reference path: the original scan scheduler."""
     mc = MemoryController(DDR4_3200, scheduler="scan", **kw)
-    for record in trace:
-        mc.enqueue(Request(addr=record.addr, is_write=record.is_write, arrival=record.cycle))
+    mc.enqueue_batch(_as_buffer(trace))
     return mc.run_to_completion()
 
 
 def run_batch_indexed(trace, **kw):
-    """Fast path: one columnar enqueue + the indexed scheduler."""
+    """Fast path: the indexed scheduler (streak compiler per default)."""
     mc = MemoryController(DDR4_3200, scheduler="indexed", **kw)
-    mc.enqueue_batch(trace if isinstance(trace, TraceBuffer) else TraceBuffer.from_records(trace))
+    mc.enqueue_batch(_as_buffer(trace))
     return mc.run_to_completion()
 
 
 class TestOpcodeTraceParity:
-    """Scalar enqueue + scan scheduler vs batch enqueue + indexed scheduler."""
+    """Scan scheduler vs indexed scheduler on every opcode's trace."""
 
     @pytest.mark.parametrize("name", list(OPCODE_CASES))
     def test_controller_stats_bit_identical(self, name):
         core = seeded_core()
         trace = core.trace(OPCODE_CASES[name])
-        golden = run_scalar_scan(trace)
+        golden = run_scan(trace)
         fast = run_batch_indexed(trace)
         assert fast == golden  # dataclass equality covers every counter
 
@@ -89,7 +79,7 @@ class TestOpcodeTraceParity:
     def test_parity_with_refresh_disabled(self, name):
         core = seeded_core(seed=11)
         trace = core.trace(OPCODE_CASES[name])
-        golden = run_scalar_scan(trace, refresh_enabled=False)
+        golden = run_scan(trace, refresh_enabled=False)
         fast = run_batch_indexed(trace, refresh_enabled=False)
         assert fast == golden
 
@@ -97,7 +87,7 @@ class TestOpcodeTraceParity:
     def test_parity_closed_page(self, name):
         core = seeded_core(seed=13)
         trace = core.trace(OPCODE_CASES[name])
-        golden = run_scalar_scan(trace, row_policy="closed")
+        golden = run_scan(trace, row_policy="closed")
         fast = run_batch_indexed(trace, row_policy="closed")
         assert fast == golden
 
@@ -107,7 +97,7 @@ class TestOpcodeTraceParity:
         trace = core.trace(OPCODE_CASES["gather"])
         org = DramOrganization()
         mapping = AddressMapping(org, order=order)
-        golden = run_scalar_scan(trace, organization=org, mapping=mapping)
+        golden = run_scan(trace, organization=org, mapping=mapping)
         fast = run_batch_indexed(trace, organization=org, mapping=mapping)
         assert fast == golden
 
@@ -127,14 +117,14 @@ class TestWindowParity:
     @pytest.mark.parametrize("window", [1, 8, 16])
     def test_small_window_matches_scan(self, window):
         records = self.build_records()
-        golden = run_scalar_scan(records, window=window)
+        golden = run_scan(records, window=window)
         fast = run_batch_indexed(records, window=window)
         assert fast == golden
 
     def test_window_below_write_high(self):
         records = self.build_records(seed=47)
         kw = {"window": 8, "write_high_watermark": 32, "write_low_watermark": 4}
-        assert run_batch_indexed(records, **kw) == run_scalar_scan(records, **kw)
+        assert run_batch_indexed(records, **kw) == run_scan(records, **kw)
 
 
 class TestSyntheticTrafficParity:
@@ -144,7 +134,7 @@ class TestSyntheticTrafficParity:
         records = [
             TraceRequest(0, (i // 3) * 64, i % 4 == 0) for i in range(1200)
         ]
-        assert run_batch_indexed(records) == run_scalar_scan(records)
+        assert run_batch_indexed(records) == run_scan(records)
 
     def test_random_rows_multi_rank(self):
         rng = np.random.default_rng(23)
@@ -152,38 +142,19 @@ class TestSyntheticTrafficParity:
         addrs = (rng.integers(0, org.capacity_bytes // 64, size=800) * 64).tolist()
         records = [TraceRequest(0, a, bool(i % 5 == 0)) for i, a in enumerate(addrs)]
         mapping = AddressMapping(org, order=RANK_INTERLEAVED_ORDER)
-        golden = run_scalar_scan(records, organization=org, mapping=mapping)
+        golden = run_scan(records, organization=org, mapping=mapping)
         fast = run_batch_indexed(records, organization=org, mapping=mapping)
         assert fast == golden
 
     def test_paced_arrivals(self):
         records = [TraceRequest(i * 37, (i % 64) * 64, i % 3 == 0) for i in range(500)]
-        assert run_batch_indexed(records) == run_scalar_scan(records)
+        assert run_batch_indexed(records) == run_scan(records)
 
     def test_single_bank_row_conflicts(self):
         org = DramOrganization()
         row_stride = org.banks * org.columns * 64
         records = [TraceRequest(0, (i % 7) * row_stride, False) for i in range(300)]
-        assert run_batch_indexed(records) == run_scalar_scan(records)
-
-
-class TestDramSystemParity:
-    def test_columnar_enqueue_trace_matches_scalar(self):
-        def build(records):
-            return records
-
-        records = list(streaming_trace(0, 4000)) + list(
-            reduce_trace(1 << 20, 1 << 21, 1 << 22, 500)
-        )
-        scalar = DramSystem(channels=4)
-        scalar.enqueue_trace(iter(records))
-        golden = scalar.run()
-        fast = DramSystem(channels=4)
-        fast.enqueue_trace(TraceBuffer.from_records(records))
-        result = fast.run()
-        assert result.channel_stats == golden.channel_stats
-        assert result.total_bytes == golden.total_bytes
-        assert result.elapsed_seconds == golden.elapsed_seconds
+        assert run_batch_indexed(records) == run_scan(records)
 
 
 class TestControllerReset:
@@ -231,23 +202,6 @@ class TestTraceBuffer:
         buf = TraceBuffer(np.arange(6) * 64, np.zeros(6, dtype=bool))
         joined = TraceBuffer.concat([buf[:3], buf[3:]])
         assert joined.addr.tolist() == buf.addr.tolist()
-
-
-class TestColumnarBuilders:
-    """Each columnar builder must emit exactly its generator twin's records."""
-
-    @pytest.mark.parametrize(
-        "buffer_fn,trace_fn,args",
-        [
-            (streaming_buffer, streaming_trace, (1 << 12, 50, True, 7)),
-            (strided_buffer, strided_trace, (0, 40, 3, False)),
-            (gather_buffer, gather_trace, (1 << 14, 4, np.array([5, 1, 5, 2]), 1 << 18)),
-            (reduce_buffer, reduce_trace, (0, 1 << 14, 1 << 15, 30)),
-            (average_buffer, average_trace, (0, 5, 1 << 16, 12)),
-        ],
-    )
-    def test_matches_generator(self, buffer_fn, trace_fn, args):
-        assert list(buffer_fn(*args)) == list(trace_fn(*args))
 
 
 class TestDimmBatchExecution:
@@ -343,7 +297,7 @@ class TestStreakFastPathParity:
     @pytest.mark.parametrize("row_policy", ["open", "closed"])
     def test_matches_scan_reference(self, pattern, row_policy):
         trace = _traffic(pattern)
-        golden = run_scalar_scan(trace, row_policy=row_policy)
+        golden = run_scan(trace, row_policy=row_policy)
         fast = run_batch_indexed(trace, row_policy=row_policy, fast_drain=True)
         assert fast == golden
 
@@ -357,7 +311,7 @@ class TestStreakFastPathParity:
     @pytest.mark.parametrize("pattern", ["hot_row", "sequential", "reduce_shaped"])
     def test_refresh_disabled(self, pattern):
         trace = _traffic(pattern)
-        golden = run_scalar_scan(trace, refresh_enabled=False)
+        golden = run_scan(trace, refresh_enabled=False)
         fast = run_batch_indexed(trace, refresh_enabled=False, fast_drain=True)
         assert fast == golden
 
@@ -371,7 +325,7 @@ class TestStreakFastPathParity:
     )
     def test_watermark_crossings(self, watermarks):
         trace = _traffic("reduce_shaped")
-        golden = run_scalar_scan(trace, **watermarks)
+        golden = run_scan(trace, **watermarks)
         fast = run_batch_indexed(trace, fast_drain=True, **watermarks)
         assert fast == golden
 
@@ -379,7 +333,7 @@ class TestStreakFastPathParity:
     def test_sub_default_windows(self, window):
         for pattern in ("hot_row", "sequential"):
             trace = _traffic(pattern)
-            golden = run_scalar_scan(trace, window=window)
+            golden = run_scan(trace, window=window)
             fast = run_batch_indexed(trace, window=window, fast_drain=True)
             assert fast == golden
 
@@ -389,7 +343,7 @@ class TestStreakFastPathParity:
         addrs = np.arange(4000, dtype=np.int64) * 64
         trace = TraceBuffer(addrs, np.zeros(len(addrs), dtype=bool))
         kw = {"organization": org, "mapping": mapping}
-        golden = run_scalar_scan(trace, **kw)
+        golden = run_scan(trace, **kw)
         fast = run_batch_indexed(trace, fast_drain=True, **kw)
         assert fast == golden
 
@@ -397,7 +351,7 @@ class TestStreakFastPathParity:
     def test_opcode_traces(self, name):
         core = seeded_core(seed=19)
         trace = core.trace(OPCODE_CASES[name])
-        golden = run_scalar_scan(trace)
+        golden = run_scan(trace)
         fast = run_batch_indexed(trace, fast_drain=True)
         assert fast == golden
 
@@ -407,28 +361,8 @@ class TestStreakFastPathParity:
         monkeypatch.setenv(controller_mod.FAST_DRAIN_ENV_VAR, "0")
         assert not controller_mod.fast_drain_default()
         trace = _traffic("hot_row")
-        golden = run_scalar_scan(trace)
+        golden = run_scan(trace)
         assert run_batch_indexed(trace) == golden  # fast path off via env
-
-    def test_scalar_enqueue_completions_after_streak(self):
-        # Scalar-enqueued Requests must get completion cycles written even
-        # when the streak compiler retires them straight from the backlog.
-        mc = MemoryController(DDR4_3200, fast_drain=True)
-        requests = [
-            Request(addr=((i % 128) << 4) * 64, is_write=False) for i in range(500)
-        ]
-        for r in requests:
-            mc.enqueue(r)
-        mc.run_to_completion()
-        assert all(r.done for r in requests)
-        ref = MemoryController(DDR4_3200, fast_drain=False)
-        ref_requests = [
-            Request(addr=((i % 128) << 4) * 64, is_write=False) for i in range(500)
-        ]
-        for r in ref_requests:
-            ref.enqueue(r)
-        ref.run_to_completion()
-        assert [r.completion for r in requests] == [r.completion for r in ref_requests]
 
 
 class TestStreakFuzzParity:
@@ -477,6 +411,6 @@ class TestStreakFuzzParity:
         rng = np.random.default_rng(1000 + seed)
         for _ in range(6):
             trace, kw = self._random_case(rng)
-            golden = run_scalar_scan(trace, **kw)
+            golden = run_scan(trace, **kw)
             fast = run_batch_indexed(trace, fast_drain=True, **kw)
             assert fast == golden, kw

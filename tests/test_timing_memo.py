@@ -23,6 +23,7 @@ from repro.dram.command import TraceBuffer, TraceRequest
 from repro.dram.controller import MemoryController
 from repro.dram.memo import (
     INSTR_MEMO,
+    TIMING_CACHE_ENV_VAR,
     TIMING_MEMO,
     InstructionMemo,
     TimingMemo,
@@ -210,11 +211,10 @@ class TestDramSystemIntegration:
         self._loaded_system().run()
         hits_before = timing_memo.hits
         system = self._loaded_system()
-        # Feed one controller behind the system's back: the mirror no
-        # longer matches, so that channel must drain for real.
-        from repro.dram.command import Request
-
-        system.controllers[0].enqueue(Request(addr=0, is_write=False))
+        # Feed one controller behind the system's back: its backlog no
+        # longer matches the memoized trace, so that channel must drain
+        # for real.
+        system.controllers[0].enqueue_batch(TraceBuffer(np.array([0]), False))
         result = system.run()
         assert timing_memo.hits == hits_before + 1  # only the clean channel
         assert result.channel_stats[0].accesses == 1001
@@ -274,6 +274,20 @@ class TestWarmControllerSoundness:
         golden = cold.run()
         assert cached_result.channel_stats == golden.channel_stats
         assert cached_result.elapsed_seconds == golden.elapsed_seconds
+
+    def test_adopted_channel_continues_like_real_drain(self, timing_memo, monkeypatch):
+        def enqueue_run_twice():
+            system = DramSystem(channels=2)
+            for _ in range(2):
+                system.enqueue_trace(self._trace())
+                result = system.run()
+            return result
+
+        adopted = enqueue_run_twice()  # channel 1 adopts channel 0's entry
+        assert timing_memo.hits == 1
+        monkeypatch.setenv(TIMING_CACHE_ENV_VAR, "0")
+        golden = enqueue_run_twice()
+        assert adopted.channel_stats == golden.channel_stats
 
     def test_warm_drain_does_not_poison_cache(self, timing_memo):
         warm = DramSystem(channels=2)
